@@ -21,7 +21,7 @@
 //! ```
 
 use flexcore::SystemConfig;
-use flexcore_bench::{baseline_cycles, geomean, run_extension, ExtKind};
+use flexcore_bench::{baseline_cycles, cli::Args, geomean, run_extension, ExtKind};
 use flexcore_workloads::Workload;
 
 fn sweep(label: &str, cfg: SystemConfig, workloads: &[Workload], baselines: &[u64], ext: ExtKind) {
@@ -34,6 +34,7 @@ fn sweep(label: &str, cfg: SystemConfig, workloads: &[Workload], baselines: &[u6
 }
 
 fn main() {
+    Args::from_env("ablations").finish();
     let workloads = vec![Workload::sha(), Workload::stringsearch(), Workload::bitcount()];
     let baselines: Vec<u64> = workloads.iter().map(baseline_cycles).collect();
 

@@ -70,7 +70,7 @@ use flexcore::recovery::FaultOutcome;
 use flexcore_bench::trial::{
     self, CampaignSpec, TrialOutcome, TrialSpec, SWEEP_RATES, SWEEP_TARGETS,
 };
-use flexcore_bench::{run_panic_tolerant_observed, ExtKind};
+use flexcore_bench::{cli::Args, run_panic_tolerant_observed, ExtKind};
 use flexcore_telemetry::RateMeter;
 use flexcore_workloads::Workload;
 
@@ -367,56 +367,29 @@ fn reconfig_campaign(
     pass
 }
 
-fn arg_value(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == name)?;
-    let Some(v) = args.get(i + 1) else {
-        eprintln!("faultsweep: {name} requires a value");
-        std::process::exit(2);
-    };
-    let parsed = match v.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse().ok(),
-    };
-    if parsed.is_none() {
-        eprintln!("faultsweep: invalid value for {name}: {v} (expected decimal or 0x-hex)");
-        std::process::exit(2);
-    }
-    parsed
-}
-
-fn arg_string(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) => Some(v.clone()),
-        None => {
-            eprintln!("faultsweep: {name} requires a value");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
-    let seed = arg_value("--seed").unwrap_or(0xf1ec);
-    let trials = arg_value("--trials").unwrap_or(100) as usize;
-    let lockstep = std::env::args().any(|a| a == "--lockstep");
-    let resume = std::env::args().any(|a| a == "--resume");
-    let recover = std::env::args().any(|a| a == "--recover");
-    let reconfig = std::env::args().any(|a| a == "--reconfig");
-    let progress_path = arg_string("--progress");
-    let flush_every = arg_value("--checkpoint-every").unwrap_or(25) as usize;
+    let mut args = Args::from_env(
+        "faultsweep [--seed N] [--trials N] [--lockstep] [--recover] [--reconfig] \
+         [--progress FILE [--resume]] [--checkpoint-every N]",
+    );
+    let seed = args.value("--seed").unwrap_or(0xf1ec);
+    let trials = args.value("--trials").unwrap_or(100);
+    let lockstep = args.flag("--lockstep");
+    let resume = args.flag("--resume");
+    let recover = args.flag("--recover");
+    let reconfig = args.flag("--reconfig");
+    let progress_path = args.value("--progress");
+    let flush_every = args.value("--checkpoint-every").unwrap_or(25);
     if resume && progress_path.is_none() {
-        eprintln!("faultsweep: --resume needs --progress FILE to resume from");
-        std::process::exit(2);
+        args.error("--resume needs --progress FILE to resume from");
     }
     if reconfig && !recover {
-        eprintln!(
-            "faultsweep: --reconfig triages swap-window faults under the rollback-and-replay \
-             supervisor; add --recover"
+        args.error(
+            "--reconfig triages swap-window faults under the rollback-and-replay supervisor; \
+             add --recover",
         );
-        std::process::exit(2);
     }
+    args.finish();
     let mut progress = match ProgressLog::open(
         progress_path,
         resume,

@@ -9,12 +9,16 @@
 //! `--series <dir>` additionally writes each run's cycle-resolved epoch
 //! metrics as `<dir>/fig4_<workload>_<ext>.jsonl`.
 
+use std::path::PathBuf;
+
 use flexcore::SystemConfig;
-use flexcore_bench::{geomean, run_extension, run_extension_series, series_dir_from_args, ExtKind};
+use flexcore_bench::{cli::Args, geomean, run_extension, run_extension_series, ExtKind};
 use flexcore_workloads::Workload;
 
 fn main() {
-    let series = series_dir_from_args();
+    let mut args = Args::from_env("fig4 [--series DIR]");
+    let series = args.value::<PathBuf>("--series");
+    args.finish();
     println!("Figure 4: % of instructions forwarded to the fabric");
     println!("{}", "=".repeat(66));
     print!("{:<14}", "Benchmark");

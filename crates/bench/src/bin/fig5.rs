@@ -10,15 +10,19 @@
 //! back-pressure sweep is where the per-epoch occupancy/stall columns
 //! are most interesting.
 
+use std::path::PathBuf;
+
 use flexcore::SystemConfig;
 use flexcore_bench::{
-    baseline_cycles, geomean, run_extension, run_extension_series, series_dir_from_args, ExtKind,
+    baseline_cycles, cli::Args, geomean, run_extension, run_extension_series, ExtKind,
 };
 use flexcore_workloads::Workload;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let series = series_dir_from_args();
+    let mut args = Args::from_env("fig5 [--quick] [--series DIR]");
+    let quick = args.flag("--quick");
+    let series = args.value::<PathBuf>("--series");
+    args.finish();
     let sizes: &[usize] = if quick { &[8, 16, 64, 256] } else { &[4, 8, 16, 32, 64, 128, 256] };
     let workloads = if quick {
         vec![Workload::sha(), Workload::stringsearch(), Workload::bitcount()]

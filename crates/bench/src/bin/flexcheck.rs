@@ -51,6 +51,7 @@ use std::process::ExitCode;
 use flexcore::ext::{Bc, Cfi, CfiTable, Dift, Extension, Mprot, Nop, Sec, Umc};
 use flexcore::{System, SystemConfig};
 use flexcore_analysis::{analyze_program, lint_netlist, AnalysisReport, Diagnostic, Severity};
+use flexcore_bench::cli::Args;
 use flexcore_bench::elide::{build_elision_table, verify_elision, ELIDABLE_EXTENSIONS};
 use flexcore_fabric::{
     from_bitstream, map_to_luts, segment_bitstream, to_bitstream, verify_consistent, Netlist,
@@ -62,7 +63,7 @@ use flexcore_workloads::Workload;
 const LUT_K: usize = 6;
 
 struct Options {
-    workloads: Vec<String>,
+    workloads: Vec<Workload>,
     json: Option<String>,
     xcheck: bool,
     taint: bool,
@@ -80,57 +81,35 @@ impl Options {
     }
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Parses the command line, exiting 2 on any usage error.
+fn parse_args() -> Options {
+    let mut args = Args::from_env(
+        "flexcheck [--json FILE] [--xcheck] [--taint] [--emit-elision DIR]
+                 [--verify-elision] [--max N] [--quiet] [workload ...]
+       workloads default to: sha gmac stringsearch fft basicmath bitcount",
+    );
     let mut opts = Options {
         workloads: Vec::new(),
-        json: None,
-        xcheck: false,
-        taint: false,
-        emit_elision: None,
-        verify_elision: false,
-        max: 200_000_000,
-        quiet: false,
+        json: args.value("--json"),
+        xcheck: args.flag("--xcheck"),
+        taint: args.flag("--taint"),
+        emit_elision: args.value("--emit-elision"),
+        verify_elision: args.flag("--verify-elision"),
+        max: args.value("--max").unwrap_or(200_000_000),
+        quiet: args.flag("--quiet"),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => opts.json = Some(args.next().ok_or("--json needs a file")?),
-            "--xcheck" => opts.xcheck = true,
-            "--taint" => opts.taint = true,
-            "--emit-elision" => {
-                opts.emit_elision = Some(args.next().ok_or("--emit-elision needs a directory")?);
-            }
-            "--verify-elision" => opts.verify_elision = true,
-            "--max" => {
-                opts.max = args
-                    .next()
-                    .ok_or("--max needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max: {e}"))?;
-            }
-            "--quiet" => opts.quiet = true,
-            "--help" | "-h" => return Err("help".into()),
-            other if !other.starts_with('-') => opts.workloads.push(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
+    let all: Vec<Workload> = Workload::all().into_iter().chain(Workload::extra()).collect();
+    for name in args.positionals() {
+        match all.iter().find(|w| w.name() == name) {
+            Some(&w) => opts.workloads.push(w),
+            None => args.error(format!("unknown workload `{name}`")),
         }
     }
-    Ok(opts)
-}
-
-fn selected_workloads(opts: &Options) -> Result<Vec<Workload>, String> {
-    let all: Vec<Workload> = Workload::all().into_iter().chain(Workload::extra()).collect();
     if opts.workloads.is_empty() {
-        return Ok(Workload::all().into_iter().collect());
+        opts.workloads = Workload::all().into_iter().collect();
     }
-    opts.workloads
-        .iter()
-        .map(|name| {
-            all.iter()
-                .find(|w| w.name() == name)
-                .copied()
-                .ok_or_else(|| format!("unknown workload `{name}`"))
-        })
-        .collect()
+    args.finish();
+    opts
 }
 
 /// Severity counts of one finding list.
@@ -285,8 +264,8 @@ fn xcheck_workload(w: Workload, report: &AnalysisReport, max: u64) -> Result<Xch
 }
 
 fn run() -> Result<u8, String> {
-    let opts = parse_args()?;
-    let workloads = selected_workloads(&opts)?;
+    let opts = parse_args();
+    let workloads = opts.workloads.clone();
 
     let mut any_error = false;
     let mut program_values = Vec::new();
@@ -487,14 +466,7 @@ fn main() -> ExitCode {
     match run() {
         Ok(code) => ExitCode::from(code),
         Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!(
-                "usage: flexcheck [--json FILE] [--xcheck] [--taint] [--emit-elision DIR]\n\
-                 \x20                [--verify-elision] [--max N] [--quiet] [workload ...]\n\
-                 \x20      workloads default to: sha gmac stringsearch fft basicmath bitcount"
-            );
+            eprintln!("flexcheck: {e}");
             ExitCode::from(2)
         }
     }

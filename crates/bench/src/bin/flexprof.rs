@@ -14,7 +14,7 @@
 //!   cycles per host second, with the sweep geomean.
 //!
 //! ```text
-//! flexprof [--profile FILE] [--throughput FILE] [--workloads a,b] [--quick]
+//! flexprof [--profile FILE] [--throughput FILE] [--workloads a,b]
 //! flexprof check BASELINE CURRENT [--tolerance PCT]
 //! ```
 //!
@@ -28,31 +28,10 @@
 
 use std::collections::BTreeMap;
 
-use flexcore_bench::{geomean, paper_config, run_extension_profiled, ExtKind};
+use flexcore_bench::{cli::Args, geomean, paper_config, run_extension_profiled, ExtKind};
 use flexcore_telemetry::{Phase, PhaseStats};
 use flexcore_workloads::Workload;
 use serde::Value;
-
-fn arg_string(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) => Some(v.clone()),
-        None => {
-            eprintln!("flexprof: {name} requires a value");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn arg_f64(name: &str) -> Option<f64> {
-    arg_string(name).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("flexprof: invalid value for {name}: {v}");
-            std::process::exit(2);
-        })
-    })
-}
 
 struct ProfiledRun {
     workload: String,
@@ -178,23 +157,26 @@ fn throughput_doc(runs: &[ProfiledRun]) -> Value {
         .build()
 }
 
-fn cmd_run() -> i32 {
-    let profile_path = arg_string("--profile").unwrap_or_else(|| "BENCH_profile.json".into());
-    let throughput_path =
-        arg_string("--throughput").unwrap_or_else(|| "BENCH_sim_throughput.json".into());
+fn cmd_run(mut args: Args) -> i32 {
+    let profile_path: String =
+        args.value("--profile").unwrap_or_else(|| "BENCH_profile.json".into());
+    let throughput_path: String =
+        args.value("--throughput").unwrap_or_else(|| "BENCH_sim_throughput.json".into());
     let all = Workload::all();
-    let workloads: Vec<Workload> = match arg_string("--workloads") {
+    let workloads: Vec<Workload> = match args.value::<String>("--workloads") {
         Some(list) => list
             .split(',')
-            .map(|name| {
-                *all.iter().find(|w| w.name() == name).unwrap_or_else(|| {
-                    eprintln!("flexprof: unknown workload `{name}`");
-                    std::process::exit(2);
-                })
+            .filter_map(|name| {
+                let found = all.iter().find(|w| w.name() == name).copied();
+                if found.is_none() {
+                    args.error(format!("unknown workload `{name}`"));
+                }
+                found
             })
             .collect(),
         None => all.to_vec(),
     };
+    args.finish();
     eprintln!(
         "flexprof: profiling {} workload(s) x {} extensions",
         workloads.len(),
@@ -239,8 +221,13 @@ fn shares_by_run(doc: &Value) -> BTreeMap<(String, String), BTreeMap<String, f64
     out
 }
 
-fn cmd_check(baseline_path: &str, current_path: &str) -> i32 {
-    let tolerance_points = arg_f64("--tolerance").unwrap_or(20.0);
+fn cmd_check(mut args: Args) -> i32 {
+    let tolerance_points = args.value("--tolerance").unwrap_or(20.0);
+    let (Some(baseline_path), Some(current_path)) = (args.positional(), args.positional()) else {
+        args.fail("check needs BASELINE CURRENT");
+    };
+    args.finish();
+    let (baseline_path, current_path) = (baseline_path.as_str(), current_path.as_str());
     let read = |path: &str| -> Value {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("flexprof: {path}: {e}");
@@ -287,23 +274,14 @@ fn cmd_check(baseline_path: &str, current_path: &str) -> i32 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let code = match args.get(1).map(String::as_str) {
-        Some("check") => match (args.get(2), args.get(3)) {
-            (Some(b), Some(c)) if !b.starts_with("--") && !c.starts_with("--") => cmd_check(b, c),
-            _ => {
-                eprintln!("usage: flexprof check BASELINE CURRENT [--tolerance PCT]");
-                2
-            }
-        },
-        Some("--help") | Some("-h") => {
-            eprintln!(
-                "usage: flexprof [--profile FILE] [--throughput FILE] [--workloads a,b]\n       \
-                 flexprof check BASELINE CURRENT [--tolerance PCT]"
-            );
-            2
-        }
-        _ => cmd_run(),
+    let mut args = Args::from_env(
+        "flexprof [--profile FILE] [--throughput FILE] [--workloads a,b]\n       \
+         flexprof check BASELINE CURRENT [--tolerance PCT]",
+    );
+    let code = match args.subcommand().as_deref() {
+        Some("check") => cmd_check(args),
+        Some(other) => args.fail(format!("unknown subcommand `{other}`")),
+        None => cmd_run(args),
     };
     std::process::exit(code);
 }

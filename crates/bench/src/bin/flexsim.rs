@@ -73,6 +73,7 @@ use flexcore::obs::{ChromeRecorder, MetricsRecorder, Observer, TraceSink};
 use flexcore::recovery::{RecoveryPolicy, Supervisor};
 use flexcore::{RunOutcome, RunResult, SimError, System, SystemConfig};
 use flexcore_asm::{assemble, Program};
+use flexcore_bench::cli::Args;
 use flexcore_bench::swap::{self, SwapPoint};
 use flexcore_fabric::write_vcd;
 use flexcore_mem::{MainMemory, SystemBus};
@@ -123,131 +124,95 @@ impl Options {
     fn wants_system(&self) -> bool {
         self.checkpoint_every.is_some() || self.resume.is_some() || self.lockstep || self.recover
     }
+
+    /// Cross-flag checks the flag parser cannot see.
+    fn validate(&self) -> Result<(), String> {
+        if self.checkpoint_every == Some(0) {
+            return Err("--checkpoint-every must be > 0".into());
+        }
+        if self.ext == "none" && self.wants_observability() {
+            return Err("--metrics/--trace/--flight-recorder/--vcd/--json observe the monitored \
+                 commit path; pick an extension with --ext umc|dift|bc|sec|mprot"
+                .into());
+        }
+        if self.ext == "none" && self.wants_system() {
+            return Err("--checkpoint-every/--resume/--lockstep need the full system model; \
+                 pick an extension with --ext umc|dift|bc|sec|mprot"
+                .into());
+        }
+        if self.ext == "none" && self.elide.is_some() {
+            return Err("--elide filters the monitored forward path; pick an extension with \
+                 --ext umc|dift|cfi"
+                .into());
+        }
+        if self.ext == "none" && !self.swaps.is_empty() {
+            return Err("--swap-at reprograms the monitored fabric; pick a starting extension \
+                 with --ext umc|dift|bc|sec|mprot|cfi"
+                .into());
+        }
+        if self.quit_after_checkpoint && self.checkpoint_every.is_none() {
+            return Err("--quit-after-checkpoint needs --checkpoint-every".into());
+        }
+        if self.recover && (self.quit_after_checkpoint || self.resume.is_some()) {
+            return Err("--recover keeps its checkpoints in memory; it cannot be combined with \
+                 --quit-after-checkpoint or --resume"
+                .into());
+        }
+        Ok(())
+    }
 }
 
-fn parse_args() -> Result<Options, String> {
+const USAGE: &str = "flexsim [--ext umc|dift|bc|sec|mprot|cfi|none] [--clock 1x|0.5x|0.25x]
+               [--fifo N] [--max N] [--metrics FILE] [--epoch N]
+               [--trace FILE] [--flight-recorder N] [--vcd FILE]
+               [--checkpoint-every N] [--checkpoint-path FILE]
+               [--quit-after-checkpoint] [--resume FILE] [--lockstep]
+               [--recover] [--swap-at COMMIT:ext[:policy]]... [--elide FILE]
+               [--json] [--commits] [--disasm] <program.s | workload>";
+
+/// Parses the command line, exiting 2 on any usage error.
+fn parse_args() -> Options {
+    let mut args = Args::from_env(USAGE);
     let mut opts = Options {
-        input: String::new(),
-        ext: "none".into(),
-        clock: "0.5x".into(),
-        fifo: 64,
-        max: 200_000_000,
-        commits: false,
-        disasm: false,
-        metrics: None,
-        epoch: MetricsRecorder::DEFAULT_EPOCH_CYCLES,
-        trace: None,
-        flight: 0,
-        vcd: None,
-        json: false,
-        checkpoint_every: None,
-        checkpoint_path: "flexsim.ckpt.json".into(),
-        quit_after_checkpoint: false,
-        resume: None,
-        lockstep: false,
-        recover: false,
+        ext: args.value("--ext").unwrap_or_else(|| "none".into()),
+        clock: args.value("--clock").unwrap_or_else(|| "0.5x".into()),
+        fifo: args.value("--fifo").unwrap_or(64),
+        max: args.value("--max").unwrap_or(200_000_000),
+        commits: args.flag("--commits"),
+        disasm: args.flag("--disasm"),
+        metrics: args.value("--metrics"),
+        epoch: args.value("--epoch").unwrap_or(MetricsRecorder::DEFAULT_EPOCH_CYCLES),
+        trace: args.value("--trace"),
+        flight: args.value("--flight-recorder").unwrap_or(0),
+        vcd: args.value("--vcd"),
+        json: args.flag("--json"),
+        checkpoint_every: args.value("--checkpoint-every"),
+        checkpoint_path: args
+            .value("--checkpoint-path")
+            .unwrap_or_else(|| "flexsim.ckpt.json".into()),
+        quit_after_checkpoint: args.flag("--quit-after-checkpoint"),
+        resume: args.value("--resume"),
+        lockstep: args.flag("--lockstep"),
+        recover: args.flag("--recover"),
         swaps: Vec::new(),
-        elide: None,
+        elide: args.value("--elide"),
+        input: String::new(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--ext" => opts.ext = args.next().ok_or("--ext needs a value")?,
-            "--clock" => opts.clock = args.next().ok_or("--clock needs a value")?,
-            "--fifo" => {
-                opts.fifo = args
-                    .next()
-                    .ok_or("--fifo needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--fifo: {e}"))?;
-            }
-            "--max" => {
-                opts.max = args
-                    .next()
-                    .ok_or("--max needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max: {e}"))?;
-            }
-            "--metrics" => opts.metrics = Some(args.next().ok_or("--metrics needs a file")?),
-            "--epoch" => {
-                opts.epoch = args
-                    .next()
-                    .ok_or("--epoch needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--epoch: {e}"))?;
-            }
-            "--trace" => opts.trace = Some(args.next().ok_or("--trace needs a file")?),
-            "--flight-recorder" => {
-                opts.flight = args
-                    .next()
-                    .ok_or("--flight-recorder needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--flight-recorder: {e}"))?;
-            }
-            "--vcd" => opts.vcd = Some(args.next().ok_or("--vcd needs a file")?),
-            "--json" => opts.json = true,
-            "--commits" => opts.commits = true,
-            "--disasm" => opts.disasm = true,
-            "--checkpoint-every" => {
-                let n: u64 = args
-                    .next()
-                    .ok_or("--checkpoint-every needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?;
-                if n == 0 {
-                    return Err("--checkpoint-every must be > 0".into());
-                }
-                opts.checkpoint_every = Some(n);
-            }
-            "--checkpoint-path" => {
-                opts.checkpoint_path = args.next().ok_or("--checkpoint-path needs a file")?;
-            }
-            "--quit-after-checkpoint" => opts.quit_after_checkpoint = true,
-            "--resume" => opts.resume = Some(args.next().ok_or("--resume needs a file")?),
-            "--swap-at" => {
-                let spec = args.next().ok_or("--swap-at needs COMMIT:ext[:policy]")?;
-                opts.swaps.push(SwapPoint::parse(&spec).map_err(|e| format!("--swap-at {e}"))?);
-            }
-            "--lockstep" => opts.lockstep = true,
-            "--recover" => opts.recover = true,
-            "--elide" => opts.elide = Some(args.next().ok_or("--elide needs a table file")?),
-            "--help" | "-h" => return Err("help".into()),
-            other if opts.input.is_empty() => opts.input = other.to_string(),
-            other => return Err(format!("unexpected argument `{other}`")),
+    for spec in args.values::<String>("--swap-at") {
+        match SwapPoint::parse(&spec) {
+            Ok(point) => opts.swaps.push(point),
+            Err(e) => args.error(format!("--swap-at {e}")),
         }
     }
-    if opts.input.is_empty() {
-        return Err("missing program file or workload name".into());
+    match args.positional() {
+        Some(input) => opts.input = input,
+        None => args.error("missing program file or workload name"),
     }
-    if opts.ext == "none" && opts.wants_observability() {
-        return Err("--metrics/--trace/--flight-recorder/--vcd/--json observe the monitored \
-             commit path; pick an extension with --ext umc|dift|bc|sec|mprot"
-            .into());
+    if let Err(e) = opts.validate() {
+        args.error(e);
     }
-    if opts.ext == "none" && opts.wants_system() {
-        return Err("--checkpoint-every/--resume/--lockstep need the full system model; \
-             pick an extension with --ext umc|dift|bc|sec|mprot"
-            .into());
-    }
-    if opts.ext == "none" && opts.elide.is_some() {
-        return Err("--elide filters the monitored forward path; pick an extension with \
-             --ext umc|dift|cfi"
-            .into());
-    }
-    if opts.ext == "none" && !opts.swaps.is_empty() {
-        return Err("--swap-at reprograms the monitored fabric; pick a starting extension \
-             with --ext umc|dift|bc|sec|mprot|cfi"
-            .into());
-    }
-    if opts.quit_after_checkpoint && opts.checkpoint_every.is_none() {
-        return Err("--quit-after-checkpoint needs --checkpoint-every".into());
-    }
-    if opts.recover && (opts.quit_after_checkpoint || opts.resume.is_some()) {
-        return Err("--recover keeps its checkpoints in memory; it cannot be combined with \
-             --quit-after-checkpoint or --resume"
-            .into());
-    }
-    Ok(opts)
+    args.finish();
+    opts
 }
 
 fn load_program(input: &str) -> Result<Program, String> {
@@ -571,24 +536,7 @@ fn run_bare(program: &Program, opts: &Options) -> i32 {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!(
-                "usage: flexsim [--ext umc|dift|bc|sec|mprot|cfi|none] [--clock 1x|0.5x|0.25x]\n\
-                 \x20              [--fifo N] [--max N] [--metrics FILE] [--epoch N]\n\
-                 \x20              [--trace FILE] [--flight-recorder N] [--vcd FILE]\n\
-                 \x20              [--checkpoint-every N] [--checkpoint-path FILE]\n\
-                 \x20              [--quit-after-checkpoint] [--resume FILE] [--lockstep]\n\
-                 \x20              [--recover] [--swap-at COMMIT:ext[:policy]] [--elide FILE]\n\
-                 \x20              [--json] [--commits] [--disasm] <program.s | workload>"
-            );
-            return ExitCode::from(2);
-        }
-    };
+    let opts = parse_args();
     let program = match load_program(&opts.input) {
         Ok(p) => p,
         Err(e) => {

@@ -15,7 +15,7 @@
 //! ```
 
 use flexcore::SystemConfig;
-use flexcore_bench::{geomean, run_extension, ExtKind};
+use flexcore_bench::{cli::Args, geomean, run_extension, ExtKind};
 use flexcore_mem::{MainMemory, SystemBus};
 use flexcore_pipeline::{Core, CoreConfig, ExitReason};
 use flexcore_workloads::Workload;
@@ -31,6 +31,7 @@ fn baseline(w: &Workload, core: CoreConfig) -> u64 {
 }
 
 fn main() {
+    Args::from_env("superscalar").finish();
     let workloads = [Workload::sha(), Workload::fft(), Workload::bitcount()];
     println!("FlexCore on (idealized) superscalar cores — DIFT overheads");
     println!("{}", "=".repeat(66));

@@ -5,6 +5,7 @@
 
 use flexcore::ext::{Bc, Dift, Extension, Mprot, Sec, Umc};
 use flexcore::interface::{ffifo_entry_bits, FieldDirection, FIELDS};
+use flexcore_bench::cli::Args;
 
 fn print_table1(extended: bool) {
     println!("Table I: example FlexCore co-processing extensions");
@@ -63,8 +64,12 @@ fn print_table2() {
 }
 
 fn main() {
-    print_table1(std::env::args().any(|a| a == "--extended"));
-    if std::env::args().any(|a| a == "--interface") {
+    let mut args = Args::from_env("table1 [--extended] [--interface]");
+    let extended = args.flag("--extended");
+    let interface = args.flag("--interface");
+    args.finish();
+    print_table1(extended);
+    if interface {
         print_table2();
     } else {
         println!("\n(run with --interface to also print Table II;");

@@ -6,7 +6,7 @@
 //! printed alongside.
 
 use flexcore::ext::{Bc, Dift, Extension, Sec, Umc};
-use flexcore_bench::paper;
+use flexcore_bench::{cli::Args, paper};
 use flexcore_fabric::{calib, AsicCost, FpgaCost, MacroBlock, MacroCost};
 
 /// The 4-KB meta-data cache as an SRAM macro: 32 Kbit of data plus
@@ -75,6 +75,7 @@ fn print_row(r: &Row, p: Option<&paper::AreaPowerRow>, base_area: f64, base_powe
 }
 
 fn main() {
+    Args::from_env("table3").finish();
     let base_area = calib::LEON3_AREA_UM2;
     let base_power = calib::LEON3_POWER_MW;
     let base_freq = calib::LEON3_FMAX_MHZ;

@@ -11,17 +11,21 @@
 //! cycle-resolved epoch metrics as
 //! `<dir>/table4_<workload>_<ext>_<clock>.jsonl`.
 
+use std::path::PathBuf;
+
 use flexcore::software::{run_software_monitored, SoftwareMonitor};
 use flexcore::SystemConfig;
 use flexcore_bench::{
-    baseline_cycles, geomean, paper, run_extension, run_extension_series, run_panic_tolerant,
-    series_dir_from_args, ExtKind, MAX_INSTRUCTIONS,
+    baseline_cycles, cli::Args, geomean, paper, run_extension, run_extension_series,
+    run_panic_tolerant, ExtKind, MAX_INSTRUCTIONS,
 };
 use flexcore_workloads::Workload;
 
 fn main() {
-    let software = std::env::args().any(|a| a == "--software");
-    let series = series_dir_from_args();
+    let mut args = Args::from_env("table4 [--software] [--series DIR]");
+    let software = args.flag("--software");
+    let series = args.value::<PathBuf>("--series");
+    args.finish();
     let configs = [
         ("1X", SystemConfig::fabric_full_speed()),
         ("0.5X", SystemConfig::fabric_half_speed()),

@@ -20,6 +20,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod elide;
 pub mod microbench;
 pub mod paper;
@@ -29,6 +30,6 @@ pub mod trial;
 
 pub use runner::{
     baseline_cycles, geomean, paper_config, run_extension, run_extension_profiled,
-    run_extension_series, run_panic_tolerant, run_panic_tolerant_observed, series_dir_from_args,
-    ExtKind, JobReport, RunSummary, MAX_INSTRUCTIONS,
+    run_extension_series, run_panic_tolerant, run_panic_tolerant_observed, ExtKind, JobReport,
+    RunSummary, MAX_INSTRUCTIONS,
 };

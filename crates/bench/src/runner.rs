@@ -1,6 +1,6 @@
 //! Shared simulation runners for the table/figure binaries.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use flexcore::ext::{Bc, Dift, Sec, Umc};
 use flexcore::obs::{MetricsRecorder, NullSink, TraceSink};
@@ -173,19 +173,6 @@ pub fn paper_config(ext: ExtKind) -> SystemConfig {
         4 => SystemConfig::fabric_quarter_speed(),
         _ => SystemConfig::fabric_half_speed(),
     }
-}
-
-/// The `--series <dir>` flag shared by the figure/table binaries: when
-/// present, every monitored run also emits its cycle-resolved epoch
-/// series as `<dir>/<stem>.jsonl`.
-pub fn series_dir_from_args() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--series" {
-            return Some(args.next().expect("--series needs a directory").into());
-        }
-    }
-    None
 }
 
 /// Like [`run_extension`], but samples epoch metrics during the run and

@@ -285,10 +285,11 @@ pub struct System<E: Extension, S: TraceSink = NullSink, P: PhaseClock = NullPha
     /// into [`SimError::Divergence`].
     diverged: Option<Box<DivergenceReport>>,
     /// Degraded mode: monitoring is bypassed; commits are counted as
-    /// unmonitored instead of being forwarded. Entered by the recovery
-    /// supervisor's rung 3, never by the system itself. Not part of a
-    /// [`Snapshot`] — the supervisor never restores past a degraded
-    /// entry.
+    /// unmonitored instead of being forwarded. The only holder of this
+    /// state: extensions never see a degraded commit. Entered by the
+    /// recovery supervisor's rung 3, never by the system itself. Not
+    /// part of a [`Snapshot`] — the supervisor never restores past a
+    /// degraded entry.
     degraded: bool,
     /// `(cycle, committed)` at degraded-mode entry, for residency
     /// accounting.
@@ -865,25 +866,6 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
     }
 
     /// Runs until the program exits, a monitor trap is delivered, or
-    /// `max_instructions` commit. Returns the full result.
-    ///
-    /// Compatibility wrapper over [`System::try_run`]: panics on a
-    /// [`SimError`] (deadlock, cycle-budget exhaustion, lockstep
-    /// divergence). Harnesses that must survive wedged configurations —
-    /// fault-injection campaigns in particular — should call `try_run`
-    /// instead.
-    #[deprecated(
-        since = "0.4.0",
-        note = "panics on SimError; use System::try_run and handle the error"
-    )]
-    pub fn run(&mut self, max_instructions: u64) -> RunResult {
-        match self.try_run(max_instructions) {
-            Ok(result) => result,
-            Err(e) => panic!("simulation error: {e} (use System::try_run to handle SimError)"),
-        }
-    }
-
-    /// Runs until the program exits, a monitor trap is delivered, or
     /// `max_instructions` commit — or until the simulation itself
     /// fails: a forward-progress watchdog detects deadlock (no commit
     /// possible within `watchdog_cycles`, or the fabric can never
@@ -1160,7 +1142,6 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
                     }
                 }
             }
-            incoming.rearm();
             let outgoing = std::mem::replace(&mut self.ext, incoming);
             let from = outgoing.name();
             slot.retired = Some(outgoing);
@@ -1412,9 +1393,8 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
         self.monitor_trap.is_some() || self.pending_trap.is_some()
     }
 
-    /// Enters degraded mode: the extension is bypassed
-    /// ([`Extension::bypass`]) and from the next commit on, nothing is
-    /// forwarded — commits are counted in
+    /// Enters degraded mode: from the next commit on, nothing is
+    /// forwarded to the extension — commits are counted in
     /// [`ResilienceStats::unmonitored_commits`] and would-have-been
     /// forwards in [`ResilienceStats::suppressed_checks`].
     ///
@@ -1425,7 +1405,6 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
             return;
         }
         self.degraded = true;
-        self.ext.bypass();
         let cycle = self.core.cycle();
         self.degraded_entry = Some((cycle, self.forward.committed));
         self.emit(TraceEvent::DegradedEnter { cycle });

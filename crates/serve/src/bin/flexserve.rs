@@ -59,135 +59,118 @@
 
 use std::path::PathBuf;
 
+use flexcore_bench::cli::Args;
 use flexcore_serve::{
     Client, ClientError, Daemon, DaemonConfig, JobId, JobSpec, Journal, RetryPolicy, Server,
     ServerConfig, WorkerPolicy,
 };
 
-fn arg_value(flag: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == flag)?;
-    args.get(i + 1).and_then(|v| {
-        v.strip_prefix("0x").map_or_else(|| v.parse().ok(), |hex| u64::from_str_radix(hex, 16).ok())
-    })
-}
+const USAGE: &str = "flexserve run [--spec FILE]... [--job NAME --seed N --trials N \
+     --workloads a,b --lockstep --recover --sweep --reconfig --priority N] [--journal-dir DIR] \
+     [--workers N] [--resume] [--max-depth N] [--sync-every N] [--stop-after N] \
+     [--max-attempts N] [--backoff-base-ms N] [--chaos-panic N] [--chaos-all-attempts] \
+     [--trace FILE] [--status FILE] [--progress]
+       flexserve serve [server flags] [--socket PATH]
+       flexserve submit [--spec FILE]... [job flags] [--socket PATH] [--wait] [retry flags]
+       flexserve subscribe --id HEX [--socket PATH] [retry flags]
+       flexserve ping|status|drain [--socket PATH] [retry flags]
+       flexserve bench [--trials N] [--workloads a,b] [--json FILE]
+retry flags: [--retry-attempts N] [--retry-base-ms N] [--retry-cap-ms N] [--retry-seed N]";
 
-fn arg_strings(flag: &str) -> Vec<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| a.as_str() == flag)
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect()
-}
-
-fn arg_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: flexserve run [--spec FILE]... [--job NAME --seed N --trials N \
-         --workloads a,b --lockstep --recover --sweep --reconfig --priority N] [--journal-dir DIR] \
-         [--workers N] [--resume] [--max-depth N] [--sync-every N] [--stop-after N] \
-         [--max-attempts N] [--backoff-base-ms N] [--chaos-panic N] [--chaos-all-attempts] \
-         [--trace FILE] [--status FILE] [--progress]\n       flexserve serve [server flags] \
-         [--socket PATH]\n       flexserve submit [job flags] [--socket PATH] [--wait] \
-         [--retry-attempts N]\n       flexserve subscribe --id HEX [--socket PATH]\n       \
-         flexserve ping|status|drain [--socket PATH]\n       flexserve bench [--trials N] \
-         [--workloads a,b] [--json FILE]"
-    );
-    std::process::exit(2);
-}
-
-/// The inline job defined by `--job`/`--seed`/… flags, or the default
-/// job when no `--spec` files were given either.
-fn inline_job() -> Option<JobSpec> {
+/// The jobs named by `--spec FILE` flags, plus the inline job defined
+/// by `--job`/`--seed`/… flags — or the default job when no `--spec`
+/// files were given either. Spec files are read after parsing ends.
+fn job_flags(args: &mut Args) -> (Vec<String>, Option<JobSpec>) {
+    let specs: Vec<String> = args.values("--spec");
     let d = JobSpec::default();
-    let inline_flags_used = arg_value("--seed").is_some()
-        || arg_value("--trials").is_some()
-        || !arg_strings("--job").is_empty()
-        || !arg_strings("--workloads").is_empty()
-        || arg_flag("--lockstep")
-        || arg_flag("--recover")
-        || arg_flag("--sweep")
-        || arg_flag("--reconfig")
-        || arg_value("--priority").is_some();
-    if !inline_flags_used && !arg_strings("--spec").is_empty() {
-        return None;
+    let name = args.value("--job");
+    let seed = args.value("--seed");
+    let trials = args.value("--trials");
+    let workloads = args.value::<String>("--workloads");
+    let lockstep = args.flag("--lockstep");
+    let recover = args.flag("--recover");
+    let sweep = args.flag("--sweep");
+    let reconfig = args.flag("--reconfig");
+    let priority = args.value("--priority");
+    let inline_flags_used = name.is_some()
+        || seed.is_some()
+        || trials.is_some()
+        || workloads.is_some()
+        || lockstep
+        || recover
+        || sweep
+        || reconfig
+        || priority.is_some();
+    if !inline_flags_used && !specs.is_empty() {
+        return (specs, None);
     }
-    Some(JobSpec {
-        name: arg_strings("--job").pop().unwrap_or(d.name),
-        seed: arg_value("--seed").unwrap_or(d.seed),
-        trials: arg_value("--trials").unwrap_or(d.trials as u64) as usize,
-        workloads: match arg_strings("--workloads").pop() {
-            Some(list) => list.split(',').map(str::to_string).collect(),
-            None => d.workloads,
-        },
-        lockstep: arg_flag("--lockstep"),
-        recover: arg_flag("--recover"),
-        sweep: arg_flag("--sweep"),
-        reconfig: arg_flag("--reconfig"),
-        priority: arg_value("--priority").unwrap_or(u64::from(d.priority)) as u8,
+    let inline = JobSpec {
+        name: name.unwrap_or(d.name),
+        seed: seed.unwrap_or(d.seed),
+        trials: trials.unwrap_or(d.trials),
+        workloads: workloads
+            .map_or(d.workloads, |list| list.split(',').map(str::to_string).collect()),
+        lockstep,
+        recover,
+        sweep,
+        reconfig,
+        priority: priority.unwrap_or(d.priority),
         policy: d.policy,
-    })
+    };
+    (specs, Some(inline))
 }
 
-fn worker_policy() -> WorkerPolicy {
-    let d = WorkerPolicy::default();
-    WorkerPolicy {
-        workers: arg_value("--workers").unwrap_or(0) as usize,
-        max_attempts: arg_value("--max-attempts").unwrap_or(u64::from(d.max_attempts)) as u32,
-        backoff_base_ms: arg_value("--backoff-base-ms").unwrap_or(d.backoff_base_ms),
-        backoff_cap_ms: d.backoff_cap_ms,
-        chaos_panic_every: arg_value("--chaos-panic"),
-        chaos_all_attempts: arg_flag("--chaos-all-attempts"),
-    }
-}
-
-fn server_config() -> ServerConfig {
+fn server_config(args: &mut Args) -> ServerConfig {
     let d = ServerConfig::default();
+    let p = WorkerPolicy::default();
     ServerConfig {
-        journal_dir: PathBuf::from(
-            arg_strings("--journal-dir").pop().unwrap_or_else(|| "flexserve-journals".into()),
-        ),
-        worker_policy: worker_policy(),
-        max_depth: arg_value("--max-depth").unwrap_or(d.max_depth as u64) as usize,
-        sync_every: arg_value("--sync-every").unwrap_or(d.sync_every as u64) as usize,
-        resume: arg_flag("--resume"),
-        stop_after: arg_value("--stop-after"),
-        trace_path: arg_strings("--trace").pop().map(PathBuf::from),
-        status_path: arg_strings("--status").pop().map(PathBuf::from),
-        progress: arg_flag("--progress"),
+        journal_dir: args.value("--journal-dir").unwrap_or_else(|| "flexserve-journals".into()),
+        worker_policy: WorkerPolicy {
+            workers: args.value("--workers").unwrap_or(0),
+            max_attempts: args.value("--max-attempts").unwrap_or(p.max_attempts),
+            backoff_base_ms: args.value("--backoff-base-ms").unwrap_or(p.backoff_base_ms),
+            backoff_cap_ms: p.backoff_cap_ms,
+            chaos_panic_every: args.value("--chaos-panic"),
+            chaos_all_attempts: args.flag("--chaos-all-attempts"),
+        },
+        max_depth: args.value("--max-depth").unwrap_or(d.max_depth),
+        sync_every: args.value("--sync-every").unwrap_or(d.sync_every),
+        resume: args.flag("--resume"),
+        stop_after: args.value("--stop-after"),
+        trace_path: args.value("--trace"),
+        status_path: args.value("--status"),
+        progress: args.flag("--progress"),
     }
 }
 
-fn cmd_run() -> i32 {
-    let mut jobs: Vec<JobSpec> = Vec::new();
-    for path in arg_strings("--spec") {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("flexserve: {path}: {e}");
-                return 2;
-            }
-        };
-        match JobSpec::from_json(&text) {
+/// Reads and parses `--spec` files, then appends the inline job.
+fn load_jobs(specs: Vec<String>, inline: Option<JobSpec>, ctx: &str) -> Result<Vec<JobSpec>, i32> {
+    let mut jobs = Vec::new();
+    for path in specs {
+        let parsed = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| JobSpec::from_json(&text).map_err(|e| e.to_string()));
+        match parsed {
             Ok(spec) => jobs.push(spec),
             Err(e) => {
-                eprintln!("flexserve: {path}: {e}");
-                return 2;
+                eprintln!("{ctx}: {path}: {e}");
+                return Err(2);
             }
         }
     }
-    if let Some(spec) = inline_job() {
-        jobs.push(spec);
-    }
-    if jobs.is_empty() {
-        usage();
-    }
+    jobs.extend(inline);
+    Ok(jobs)
+}
 
-    let config = server_config();
+fn cmd_run(mut args: Args) -> i32 {
+    let (specs, inline) = job_flags(&mut args);
+    let config = server_config(&mut args);
+    args.finish();
+    let jobs = match load_jobs(specs, inline, "flexserve") {
+        Ok(jobs) => jobs,
+        Err(code) => return code,
+    };
+
     // Chaos panics are supervised by design; their default-hook
     // backtraces would drown the report.
     if config.worker_policy.chaos_panic_every.is_some() {
@@ -267,20 +250,21 @@ fn print_job_summary(job: &flexcore_serve::JobSummary) -> bool {
     s.quarantined > 0 || matches!(job.state, flexcore_serve::JobState::Failed(_))
 }
 
-fn socket_path() -> PathBuf {
-    arg_strings("--socket").pop().map_or_else(|| PathBuf::from("flexserve.sock"), PathBuf::from)
+fn socket_path(args: &mut Args) -> PathBuf {
+    args.value("--socket").unwrap_or_else(|| PathBuf::from("flexserve.sock"))
 }
 
 /// `flexserve serve` — the long-lived daemon. Runs until a `drain`
 /// request, then exits 0 with every admitted job finished and
 /// journaled. Resume is always on: a killed daemon restarted on the
 /// same journal dir replays completed trials instead of redoing them.
-fn cmd_serve() -> i32 {
+fn cmd_serve(mut args: Args) -> i32 {
     let config = DaemonConfig {
-        socket_path: socket_path(),
-        server: server_config(),
+        socket_path: socket_path(&mut args),
+        server: server_config(&mut args),
         ..DaemonConfig::default()
     };
+    args.finish();
     if config.server.worker_policy.chaos_panic_every.is_some() {
         std::panic::set_hook(Box::new(|_| {}));
     }
@@ -305,19 +289,21 @@ fn cmd_serve() -> i32 {
     }
 }
 
-fn client() -> Client {
+/// The daemon client named by `--socket` and the `--retry-*` flags.
+fn client(args: &mut Args) -> Client {
     let d = RetryPolicy::default();
-    Client::new(&socket_path()).with_retry(RetryPolicy {
-        max_attempts: arg_value("--retry-attempts").unwrap_or(u64::from(d.max_attempts)) as u32,
-        base_ms: arg_value("--retry-base-ms").unwrap_or(d.base_ms),
-        cap_ms: arg_value("--retry-cap-ms").unwrap_or(d.cap_ms),
-        seed: arg_value("--retry-seed").unwrap_or(d.seed),
+    Client::new(&socket_path(args)).with_retry(RetryPolicy {
+        max_attempts: args.value("--retry-attempts").unwrap_or(d.max_attempts),
+        base_ms: args.value("--retry-base-ms").unwrap_or(d.base_ms),
+        cap_ms: args.value("--retry-cap-ms").unwrap_or(d.cap_ms),
+        seed: args.value("--retry-seed").unwrap_or(d.seed),
     })
 }
 
 /// `flexserve ping|status|drain` — one request, response on stdout.
-fn cmd_simple(op: &str) -> i32 {
-    let client = client();
+fn cmd_simple(mut args: Args, op: &str) -> i32 {
+    let client = client(&mut args);
+    args.finish();
     let result = match op {
         "ping" => client.ping(),
         "status" => client.status(),
@@ -338,27 +324,15 @@ fn cmd_simple(op: &str) -> i32 {
 /// `flexserve submit` — sends job specs to a daemon, backing off on
 /// `rejected` answers. `--wait` then subscribes each admitted job to
 /// completion, streaming its trial lines to stdout.
-fn cmd_submit() -> i32 {
-    let mut jobs: Vec<JobSpec> = Vec::new();
-    for path in arg_strings("--spec") {
-        let parsed = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| JobSpec::from_json(&text).map_err(|e| e.to_string()));
-        match parsed {
-            Ok(spec) => jobs.push(spec),
-            Err(e) => {
-                eprintln!("flexserve submit: {path}: {e}");
-                return 2;
-            }
-        }
-    }
-    if let Some(spec) = inline_job() {
-        jobs.push(spec);
-    }
-    if jobs.is_empty() {
-        usage();
-    }
-    let client = client();
+fn cmd_submit(mut args: Args) -> i32 {
+    let (specs, inline) = job_flags(&mut args);
+    let client = client(&mut args);
+    let wait = args.flag("--wait");
+    args.finish();
+    let jobs = match load_jobs(specs, inline, "flexserve submit") {
+        Ok(jobs) => jobs,
+        Err(code) => return code,
+    };
     let mut admitted: Vec<JobId> = Vec::new();
     let mut exit = 0;
     for spec in &jobs {
@@ -377,7 +351,7 @@ fn cmd_submit() -> i32 {
             }
         }
     }
-    if arg_flag("--wait") {
+    if wait {
         for id in admitted {
             if stream_job(&client, id) != 0 {
                 exit = 1;
@@ -403,23 +377,26 @@ fn stream_job(client: &Client, id: JobId) -> i32 {
 
 /// `flexserve subscribe --id HEX` — attaches to a running (or done)
 /// job and streams its feed.
-fn cmd_subscribe() -> i32 {
-    let Some(id) = arg_strings("--id").pop().and_then(|s| u64::from_str_radix(&s, 16).ok()) else {
-        eprintln!("flexserve subscribe: --id HEX is required");
-        return 2;
+fn cmd_subscribe(mut args: Args) -> i32 {
+    let id = args.value::<String>("--id").and_then(|s| u64::from_str_radix(&s, 16).ok());
+    let client = client(&mut args);
+    let Some(id) = id else {
+        args.fail("subscribe needs --id HEX");
     };
-    stream_job(&client(), JobId(id))
+    args.finish();
+    stream_job(&client, JobId(id))
 }
 
 /// `flexserve bench` — trials/sec at 1, N/2, and N workers, written as
 /// `BENCH_flexserve.json` for the CI benchmark trail.
-fn cmd_bench() -> i32 {
-    let trials = arg_value("--trials").unwrap_or(16) as usize;
-    let out = arg_strings("--json").pop().unwrap_or_else(|| "BENCH_flexserve.json".into());
-    let workloads = match arg_strings("--workloads").pop() {
+fn cmd_bench(mut args: Args) -> i32 {
+    let trials = args.value("--trials").unwrap_or(16);
+    let out: String = args.value("--json").unwrap_or_else(|| "BENCH_flexserve.json".into());
+    let workloads = match args.value::<String>("--workloads") {
         Some(list) => list.split(',').map(str::to_string).collect(),
         None => JobSpec::default().workloads,
     };
+    args.finish();
     let cores = std::thread::available_parallelism().map_or(4, usize::from);
     let mut widths = vec![1, (cores / 2).max(1), cores];
     widths.dedup();
@@ -557,15 +534,16 @@ fn bench_compaction() -> serde::Value {
 }
 
 fn main() {
-    let mode = std::env::args().nth(1);
-    let code = match mode.as_deref() {
-        Some("run") => cmd_run(),
-        Some("serve") => cmd_serve(),
-        Some("submit") => cmd_submit(),
-        Some("subscribe") => cmd_subscribe(),
-        Some(op @ ("ping" | "status" | "drain")) => cmd_simple(op),
-        Some("bench") => cmd_bench(),
-        _ => usage(),
+    let mut args = Args::from_env(USAGE);
+    let code = match args.subcommand().as_deref() {
+        Some("run") => cmd_run(args),
+        Some("serve") => cmd_serve(args),
+        Some("submit") => cmd_submit(args),
+        Some("subscribe") => cmd_subscribe(args),
+        Some(op @ ("ping" | "status" | "drain")) => cmd_simple(args, op),
+        Some("bench") => cmd_bench(args),
+        Some(other) => args.fail(format!("unknown subcommand `{other}`")),
+        None => args.fail("missing subcommand"),
     };
     std::process::exit(code);
 }
