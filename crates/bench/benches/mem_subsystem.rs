@@ -1,11 +1,28 @@
-//! Micro-benchmarks: the memory substrate (meta-data cache masked
-//! writes, L1 timing-cache lookups, bus arbitration).
+//! Micro-benchmarks: the memory substrate (main-memory word accesses,
+//! meta-data cache masked writes, L1 timing-cache lookups, bus
+//! arbitration).
 
+use flexcore_asm::Program;
 use flexcore_bench::microbench::Harness;
 use flexcore_mem::{BusMaster, CacheConfig, MainMemory, MetaDataCache, SystemBus, TimingCache};
+use flexcore_pipeline::Core;
 
 fn main() {
     let h = Harness::new();
+
+    // Aligned word traffic over the three regions a monitored run
+    // touches: program text, the stack, and the meta-data region.
+    let regions = [Program::DEFAULT_BASE, Core::STACK_TOP - 0x4000, 0x4000_0000];
+    let mut mem = MainMemory::new();
+    h.run("mainmem_word_rw", || {
+        let mut acc = 0u32;
+        for i in 0..4096u32 {
+            let addr = regions[(i % 3) as usize] + ((i / 3) * 4) % 0x4000;
+            mem.write_u32(addr, acc ^ i);
+            acc = acc.wrapping_add(mem.read_u32(addr ^ 4));
+        }
+        acc
+    });
 
     h.run("metacache_masked_writes_4k", || {
         let mut cache = MetaDataCache::new(CacheConfig::meta_default());

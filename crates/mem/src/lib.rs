@@ -13,7 +13,8 @@
 //!
 //! This crate models all of those pieces:
 //!
-//! * [`MainMemory`] — sparse, paged, big-endian backing store,
+//! * [`MainMemory`] — sparse, big-endian backing store in a two-level
+//!   radix page table (one indexed lookup per in-page access),
 //! * [`SystemBus`] — a single shared bus with SDRAM burst timing and
 //!   per-master contention accounting,
 //! * [`TimingCache`] — a tag-only set-associative cache used for the L1

@@ -1,11 +1,12 @@
 //! The core model: functional execution plus commit-driven timing.
 
 use flexcore_asm::Program;
-use flexcore_isa::{decode, IccFlags, InstrClass, Instruction, Opcode, Operand2, Reg};
+use flexcore_isa::{IccFlags, Instruction, Opcode, Operand2, Reg};
 use flexcore_mem::{BusMaster, CacheStats, MainMemory, StoreBuffer, SystemBus, TimingCache};
 use flexcore_telemetry::{NullPhaseClock, Phase, PhaseClock};
 
 use crate::alu::alu;
+use crate::decode_cache::DecodeCache;
 use crate::{CoreConfig, CoreStats, TracePacket, CONSOLE_ADDR};
 
 /// Why execution stopped.
@@ -99,6 +100,19 @@ pub struct CoreSnapshot {
 ///
 /// See the [crate docs](crate) for the modeling approach and an
 /// end-to-end example.
+///
+/// # Decode cache
+///
+/// Every step fetches its instruction word from memory and charges the
+/// I-cache exactly as the hardware would, but the *decode* of that word
+/// is memoized in a 1024-entry direct-mapped cache indexed by `pc >> 2`.
+/// An entry hits only when both its PC and the freshly fetched word
+/// match. Because decoding depends on nothing but the word, a hit is
+/// always what a fresh decode would return, so nothing that rewrites
+/// memory — program stores over text, injected text faults, checkpoint
+/// restore, bitstream hot-swap — needs to invalidate it, and the cache
+/// is not part of [`CoreSnapshot`]: a restored core starts with a cold
+/// cache and produces the same results.
 #[derive(Clone, Debug)]
 pub struct Core {
     config: CoreConfig,
@@ -117,6 +131,8 @@ pub struct Core {
     /// Instructions committed since the last base-cycle charge (for
     /// `commit_width > 1`).
     commit_slot: u32,
+    /// Memoized decodes (host-side only; see the type docs).
+    decoded: DecodeCache,
 }
 
 impl Core {
@@ -140,6 +156,7 @@ impl Core {
             console: Vec::new(),
             exited: None,
             commit_slot: 0,
+            decoded: DecodeCache::new(),
         }
     }
 
@@ -347,27 +364,25 @@ impl Core {
             return StepResult::Annulled;
         }
 
-        let inst = match decode(word) {
-            Ok(i) => i,
-            Err(_) => return self.exit(ExitReason::IllegalInstruction { pc, word }),
+        let Some(decoded) = self.decoded.decode(pc, word) else {
+            return self.exit(ExitReason::IllegalInstruction { pc, word });
         };
-
-        let (src1, src2) = inst.source_regs();
+        let inst = decoded.inst;
         let mut packet = TracePacket {
             pc,
             inst_word: word,
             inst,
-            class: InstrClass::of(&inst),
+            class: decoded.class,
             addr: 0,
             result: 0,
-            srcv1: src1.map_or(0, |r| self.reg(r)),
+            srcv1: decoded.src1.map_or(0, |r| self.reg(r)),
             srcv2: 0,
             store_value: 0,
             cond: self.icc,
             branch_taken: false,
-            src1,
-            src2,
-            dest: inst.dest_reg(),
+            src1: decoded.src1,
+            src2: decoded.src2,
+            dest: decoded.dest,
             commit_cycle: 0,
         };
         clock.commit(Phase::FetchDecode, fetch_span);

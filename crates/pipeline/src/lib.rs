@@ -61,6 +61,7 @@
 mod alu;
 mod config;
 mod core;
+mod decode_cache;
 #[cfg(feature = "serde")]
 mod serde_impls;
 mod stats;
