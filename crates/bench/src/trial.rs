@@ -314,11 +314,7 @@ fn target_tag(target: FaultTarget) -> u64 {
 /// The paper's fabric-clock configuration for `ext`, with the campaign
 /// cycle budget applied.
 pub fn paper_config(ext: ExtKind) -> SystemConfig {
-    let base = match ext.paper_divisor() {
-        4 => SystemConfig::fabric_quarter_speed(),
-        _ => SystemConfig::fabric_half_speed(),
-    };
-    base.with_cycle_budget(CYCLE_BUDGET)
+    crate::runner::paper_config(ext).with_cycle_budget(CYCLE_BUDGET)
 }
 
 /// ALU commit indices of one clean run (the fault-site population).
@@ -608,24 +604,15 @@ pub fn outcome_record(label: &str, o: &TrialOutcome) -> serde::Value {
     obj.build()
 }
 
-fn decode_record_bool(v: &serde::Value, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(serde::Value::Bool(b)) => Ok(*b),
-        _ => Err(format!("trial record missing boolean `{key}`")),
-    }
-}
-
 /// Decodes one [`outcome_record`] back into a [`TrialOutcome`].
 pub fn decode_outcome(v: &serde::Value) -> Result<TrialOutcome, String> {
+    let required = |e: serde::DecodeError| format!("trial record: {e}");
     Ok(TrialOutcome {
-        trapped: decode_record_bool(v, "trapped")?,
-        diverged: decode_record_bool(v, "diverged")?,
-        deadlocked: decode_record_bool(v, "deadlocked")?,
-        over_budget: decode_record_bool(v, "over_budget")?,
-        faults_injected: v
-            .get("faults_injected")
-            .and_then(serde::Value::as_u64)
-            .ok_or("trial record missing `faults_injected`")?,
+        trapped: serde::field(v, "trapped").map_err(required)?,
+        diverged: serde::field(v, "diverged").map_err(required)?,
+        deadlocked: serde::field(v, "deadlocked").map_err(required)?,
+        over_budget: serde::field(v, "over_budget").map_err(required)?,
+        faults_injected: serde::field(v, "faults_injected").map_err(required)?,
         trap_skid: v.get("trap_skid").and_then(serde::Value::as_u64),
         // Absent in records written without recovery; consumers keep
         // the two modes apart via their campaign headers.

@@ -87,23 +87,15 @@ impl ElisionTable {
 
 #[cfg(feature = "serde")]
 mod json {
-    use serde::Value;
+    use serde::{field, Value};
 
     use super::{ElisionTable, ELISION_FORMAT};
 
+    /// Entries are `[pc, mask]` pairs, ascending by PC.
     impl serde::Serialize for ElisionTable {
         fn to_value(&self) -> Value {
-            let entries = self
-                .masks
-                .iter()
-                .map(|(&pc, &m)| {
-                    Value::Array(vec![Value::U64(u64::from(pc)), Value::U64(u64::from(m))])
-                })
-                .collect();
-            Value::object()
-                .raw("format", Value::U64(u64::from(ELISION_FORMAT)))
-                .raw("entries", Value::Array(entries))
-                .build()
+            let entries: Vec<(u32, u8)> = self.entries().collect();
+            Value::object().field("format", &ELISION_FORMAT).field("entries", &entries).build()
         }
     }
 
@@ -117,33 +109,20 @@ mod json {
         ///
         /// # Errors
         ///
-        /// Returns a message on malformed JSON, a missing or mistyped
-        /// field, or a format-version mismatch.
+        /// Returns a message on malformed JSON, a missing, mistyped or
+        /// out-of-range field, or a format-version mismatch.
         pub fn from_json(s: &str) -> Result<ElisionTable, String> {
             let v = serde::from_str(s).map_err(|e| format!("invalid elision JSON: {e}"))?;
-            let format = v
-                .get("format")
-                .and_then(Value::as_u64)
-                .ok_or("missing elision table format version")?;
+            let format: u64 = field(&v, "format").map_err(|e| format!("elision table: {e}"))?;
             if format != u64::from(ELISION_FORMAT) {
                 return Err(format!(
                     "unsupported elision format {format} (this build reads {ELISION_FORMAT})"
                 ));
             }
-            let entries = v
-                .get("entries")
-                .and_then(Value::as_array)
-                .ok_or("elision table has no entries array")?;
+            let entries: Vec<(u32, u8)> =
+                field(&v, "entries").map_err(|e| format!("elision table: {e}"))?;
             let mut table = ElisionTable::new();
-            for item in entries {
-                let parts = item.as_array().ok_or("elision entry is not an array")?;
-                let [pc, mask] = parts else {
-                    return Err("elision entry needs exactly 2 fields".to_string());
-                };
-                let pc = pc.as_u64().ok_or("elision entry pc is not an integer")?;
-                let mask = mask.as_u64().ok_or("elision entry mask is not an integer")?;
-                let pc = u32::try_from(pc).map_err(|_| "elision pc does not fit in 32 bits")?;
-                let mask = u8::try_from(mask).map_err(|_| "elision mask does not fit in 8 bits")?;
+            for (pc, mask) in entries {
                 table.set(pc, mask);
             }
             Ok(table)

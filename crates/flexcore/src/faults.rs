@@ -285,7 +285,7 @@ pub enum PacketField {
     StoreValue,
 }
 
-const PACKET_FIELDS: [PacketField; 5] = [
+pub(crate) const PACKET_FIELDS: [PacketField; 5] = [
     PacketField::Result,
     PacketField::Srcv1,
     PacketField::Srcv2,

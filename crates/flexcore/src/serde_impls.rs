@@ -1,26 +1,24 @@
-//! `Serialize` implementations for run results and diagnostics
-//! (behind the `serde` feature).
+//! JSON codecs for run results, diagnostics and the snapshot
+//! components this crate owns (behind the `serde` feature). Each type
+//! has one shape, decoded by the `Deserialize` impl beside its
+//! `Serialize`.
 
-use flexcore_isa::InstrClass;
-use serde::{Serialize, Value};
+use flexcore_pipeline::{per_class_from_value, per_class_value};
+use serde::{
+    deny_unknown_fields, field, field_or, field_with, hex_u32, object_codec, DecodeError,
+    Deserialize, Serialize, Value,
+};
 
 use crate::error::{DeadlockSnapshot, SimError};
 use crate::ext::MonitorTrap;
+use crate::faults::{
+    BitstreamStrike, FaultAction, FaultEvent, FaultInjectorSnapshot, PACKET_FIELDS,
+};
+use crate::interface::FifoSnapshot;
 use crate::lockstep::{DivergenceReport, LockstepCommit, RegMismatch};
 use crate::obs::FlightEntry;
 use crate::recovery::RecoveryPolicy;
 use crate::stats::{ForwardStats, ResilienceStats, RunResult};
-
-fn per_class_value(per_class: &[u64]) -> Value {
-    let mut obj = Value::object();
-    for c in InstrClass::all() {
-        let n = per_class[c.index()];
-        if n > 0 {
-            obj = obj.field(&format!("{c:?}").to_lowercase(), &n);
-        }
-    }
-    obj.build()
-}
 
 impl Serialize for ForwardStats {
     fn to_value(&self) -> Value {
@@ -36,23 +34,33 @@ impl Serialize for ForwardStats {
     }
 }
 
-impl Serialize for ResilienceStats {
-    fn to_value(&self) -> Value {
-        Value::object()
-            .field("faults_injected", &self.faults_injected)
-            .field("packets_corrupted", &self.packets_corrupted)
-            .field("dropped_overflow", &self.dropped_overflow)
-            .field("bitstream_retries", &self.bitstream_retries)
-            .field("bitstream_reloads", &self.bitstream_reloads)
-            .field("unmonitored_commits", &self.unmonitored_commits)
-            .field("suppressed_checks", &self.suppressed_checks)
-            .field("swaps_completed", &self.swaps_completed)
-            .field("swap_drained_packets", &self.swap_drained_packets)
-            .field("swap_stall_cycles", &self.swap_stall_cycles)
-            .field("elided_checks", &self.elided_checks)
-            .build()
+/// `forwarded_fraction` is derived and is recomputed, not read.
+impl Deserialize for ForwardStats {
+    fn from_value(v: &Value) -> Result<ForwardStats, DecodeError> {
+        Ok(ForwardStats {
+            committed: field(v, "committed")?,
+            forwarded: field(v, "forwarded")?,
+            dropped: field(v, "dropped")?,
+            per_class: field_with(v, "per_class", per_class_from_value)?,
+            fifo_stall_cycles: field(v, "fifo_stall_cycles")?,
+            peak_occupancy: field(v, "peak_occupancy")?,
+        })
     }
 }
+
+object_codec!(ResilienceStats {
+    faults_injected,
+    packets_corrupted,
+    dropped_overflow,
+    bitstream_retries,
+    bitstream_reloads,
+    unmonitored_commits,
+    suppressed_checks,
+    swaps_completed,
+    swap_drained_packets,
+    swap_stall_cycles,
+    elided_checks,
+});
 
 impl Serialize for MonitorTrap {
     fn to_value(&self) -> Value {
@@ -62,6 +70,89 @@ impl Serialize for MonitorTrap {
             .build()
     }
 }
+
+impl Deserialize for MonitorTrap {
+    fn from_value(v: &Value) -> Result<MonitorTrap, DecodeError> {
+        Ok(MonitorTrap { pc: field_with(v, "pc", hex_u32)?, reason: field(v, "reason")? })
+    }
+}
+
+object_codec!(FifoSnapshot { dequeues, stall_cycles, peak_occupancy });
+
+/// Tagged by `kind`, with the variant's own fields beside it; a packet
+/// field is its index in the injector's field table.
+impl Serialize for FaultAction {
+    fn to_value(&self) -> Value {
+        let o = Value::object();
+        match *self {
+            FaultAction::FlipResult { mask } => {
+                o.field("kind", &"flip-result").field("mask", &mask)
+            }
+            FaultAction::FlipRegister { reg, mask } => {
+                o.field("kind", &"flip-register").field("reg", &reg).field("mask", &mask)
+            }
+            FaultAction::FlipMemory { addr, mask } => {
+                o.field("kind", &"flip-memory").field("addr", &addr).field("mask", &mask)
+            }
+            FaultAction::FlipText { addr, mask } => {
+                o.field("kind", &"flip-text").field("addr", &addr).field("mask", &mask)
+            }
+            FaultAction::CorruptPacket { field, mask } => {
+                let index = PACKET_FIELDS.iter().position(|&f| f == field);
+                let index = index.expect("PACKET_FIELDS lists every packet field");
+                o.field("kind", &"corrupt-packet").field("field", &index).field("mask", &mask)
+            }
+            FaultAction::PoisonMeta { addr, mask } => {
+                o.field("kind", &"poison-meta").field("addr", &addr).field("mask", &mask)
+            }
+            FaultAction::StickFabric => o.field("kind", &"stick-fabric"),
+        }
+        .build()
+    }
+}
+
+impl Deserialize for FaultAction {
+    fn from_value(v: &Value) -> Result<FaultAction, DecodeError> {
+        let kind: String = field(v, "kind")?;
+        let mask = || field(v, "mask");
+        let addr = || field(v, "addr");
+        Ok(match kind.as_str() {
+            "flip-result" => FaultAction::FlipResult { mask: mask()? },
+            "flip-register" => FaultAction::FlipRegister { reg: field(v, "reg")?, mask: mask()? },
+            "flip-memory" => FaultAction::FlipMemory { addr: addr()?, mask: mask()? },
+            "flip-text" => FaultAction::FlipText { addr: addr()?, mask: mask()? },
+            "corrupt-packet" => {
+                let field = field_with(v, "field", |f| {
+                    let index = usize::from_value(f)?;
+                    PACKET_FIELDS
+                        .get(index)
+                        .copied()
+                        .ok_or_else(|| DecodeError::new(format!("no packet field {index}")))
+                })?;
+                FaultAction::CorruptPacket { field, mask: mask()? }
+            }
+            "poison-meta" => FaultAction::PoisonMeta { addr: addr()?, mask: mask()? },
+            "stick-fabric" => FaultAction::StickFabric,
+            other => {
+                return Err(
+                    DecodeError::new(format!("unknown fault action `{other}`")).in_field("kind")
+                )
+            }
+        })
+    }
+}
+
+object_codec!(FaultEvent { at, cycle, action });
+
+object_codec!(BitstreamStrike { attempt, offset, mask });
+
+object_codec!(FaultInjectorSnapshot {
+    rng_states,
+    exhausted,
+    log,
+    bitstream_log,
+    bitstream_attempts,
+});
 
 impl Serialize for FlightEntry {
     fn to_value(&self) -> Value {
@@ -184,24 +275,32 @@ impl Serialize for RecoveryPolicy {
     }
 }
 
-impl RecoveryPolicy {
-    /// Decodes a serialized policy; fields that are absent keep their
-    /// defaults, so campaign/job specs can override selectively.
-    pub fn from_value(v: &Value) -> RecoveryPolicy {
+/// The job-spec shape: an absent field keeps its default, so specs can
+/// override selectively; an unknown or mistyped one is an error.
+impl Deserialize for RecoveryPolicy {
+    fn from_value(v: &Value) -> Result<RecoveryPolicy, DecodeError> {
+        deny_unknown_fields(
+            v,
+            &[
+                "checkpoint_every",
+                "max_replays",
+                "max_reload_replays",
+                "allow_degraded",
+                "checkpoint_cost_cycles",
+            ],
+        )?;
         let d = RecoveryPolicy::default();
-        let u64_or =
-            |key: &str, fallback: u64| v.get(key).and_then(Value::as_u64).unwrap_or(fallback);
-        RecoveryPolicy {
-            checkpoint_every: u64_or("checkpoint_every", d.checkpoint_every),
-            max_replays: u64_or("max_replays", u64::from(d.max_replays)) as u32,
-            max_reload_replays: u64_or("max_reload_replays", u64::from(d.max_reload_replays))
-                as u32,
-            allow_degraded: match v.get("allow_degraded") {
-                Some(Value::Bool(b)) => *b,
-                _ => d.allow_degraded,
-            },
-            checkpoint_cost_cycles: u64_or("checkpoint_cost_cycles", d.checkpoint_cost_cycles),
-        }
+        Ok(RecoveryPolicy {
+            checkpoint_every: field_or(v, "checkpoint_every", d.checkpoint_every)?,
+            max_replays: field_or(v, "max_replays", d.max_replays)?,
+            max_reload_replays: field_or(v, "max_reload_replays", d.max_reload_replays)?,
+            allow_degraded: field_or(v, "allow_degraded", d.allow_degraded)?,
+            checkpoint_cost_cycles: field_or(
+                v,
+                "checkpoint_cost_cycles",
+                d.checkpoint_cost_cycles,
+            )?,
+        })
     }
 }
 
@@ -245,6 +344,42 @@ mod tests {
         assert_eq!(v.get("committed").and_then(Value::as_u64), Some(10));
         assert_eq!(v.get("peak_occupancy").and_then(Value::as_u64), Some(3));
         assert_eq!(v.get("forwarded_fraction").and_then(Value::as_f64), Some(0.4));
+        assert_eq!(ForwardStats::from_value(&v), Ok(s));
+    }
+
+    #[test]
+    fn fault_actions_round_trip_and_range_check() {
+        use crate::faults::PacketField;
+        for action in [
+            FaultAction::FlipResult { mask: 1 },
+            FaultAction::FlipRegister { reg: 9, mask: 2 },
+            FaultAction::FlipMemory { addr: 0x100, mask: 4 },
+            FaultAction::FlipText { addr: 0x104, mask: 8 },
+            FaultAction::CorruptPacket { field: PacketField::StoreValue, mask: 16 },
+            FaultAction::PoisonMeta { addr: 0x4000_0000, mask: 32 },
+            FaultAction::StickFabric,
+        ] {
+            assert_eq!(FaultAction::from_value(&action.to_value()), Ok(action));
+        }
+        let bad = serde::from_str(r#"{"kind":"corrupt-packet","field":5,"mask":1}"#).unwrap();
+        let e = FaultAction::from_value(&bad).expect_err("no sixth packet field");
+        assert_eq!(e.to_string(), "field: no packet field 5");
+    }
+
+    #[test]
+    fn recovery_policy_decodes_overrides_and_rejects_bad_fields() {
+        let v = serde::from_str(r#"{"max_replays":9}"#).unwrap();
+        let p = RecoveryPolicy::from_value(&v).expect("decodes");
+        assert_eq!(p, RecoveryPolicy { max_replays: 9, ..RecoveryPolicy::default() });
+        assert_eq!(RecoveryPolicy::from_value(&p.to_value()), Ok(p));
+        for (json, path) in [
+            (r#"{"max_replays":4294967297}"#, "max_replays"),
+            (r#"{"allow_degraded":"yes"}"#, "allow_degraded"),
+            (r#"{"max_replay":3}"#, "max_replay"),
+        ] {
+            let e = RecoveryPolicy::from_value(&serde::from_str(json).unwrap()).expect_err(json);
+            assert_eq!(e.path, path, "{json}: {e}");
+        }
     }
 
     #[test]

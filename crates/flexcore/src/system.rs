@@ -1173,21 +1173,6 @@ impl<E: Extension, S: TraceSink, P: PhaseClock> System<E, S, P> {
     /// [`System::try_run_until`] returns
     /// [`RunOutcome::Paused`](crate::RunOutcome::Paused).
     pub fn snapshot(&self) -> Snapshot {
-        self.capture_snapshot()
-    }
-
-    /// [`System::snapshot`] with the capture time charged to
-    /// [`Phase::Checkpoint`] on the installed phase clock (free with
-    /// the default [`NullPhaseClock`]). Checkpointing harnesses that
-    /// profile should call this instead of `snapshot`.
-    pub fn snapshot_profiled(&mut self) -> Snapshot {
-        let span = self.prof.begin();
-        let snap = self.capture_snapshot();
-        self.prof.commit(Phase::Checkpoint, span);
-        snap
-    }
-
-    fn capture_snapshot(&self) -> Snapshot {
         Snapshot {
             format: SNAPSHOT_FORMAT,
             ext_name: self.ext.name().to_string(),

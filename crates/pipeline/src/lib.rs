@@ -69,6 +69,8 @@ mod trace;
 
 pub use config::CoreConfig;
 pub use core::{Core, CoreSnapshot, ExitReason, StepResult};
+#[cfg(feature = "serde")]
+pub use serde_impls::{per_class_from_value, per_class_value};
 pub use stats::CoreStats;
 pub use trace::TracePacket;
 

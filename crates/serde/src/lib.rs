@@ -3,10 +3,13 @@
 //! The workspace must build with no network and no registry cache (the
 //! same constraint that produced the vendored `proptest` subset), so
 //! this crate provides the small slice of `serde`'s surface the
-//! observability layer needs: a [`Serialize`] trait mapping values into
-//! a JSON [`Value`] model, byte-deterministic emitters ([`to_string`],
-//! [`to_string_pretty`]), and a strict parser ([`from_str`]) used by
-//! tests and CI gates to validate emitted output.
+//! workspace needs: a [`Serialize`] trait mapping values into a JSON
+//! [`Value`] model, byte-deterministic emitters ([`to_string`],
+//! [`to_string_pretty`]), a strict parser ([`from_str`]), and a
+//! [`Deserialize`] trait decoding a [`Value`] back into a typed value.
+//! Decoding is strict: a mistyped or out-of-range value is a
+//! [`DecodeError`] naming the path of the offending field, never a
+//! silent default or a truncating cast.
 //!
 //! Determinism notes: objects preserve insertion order (no hash-map
 //! reordering), floats emit via Rust's shortest-roundtrip `Display`,
@@ -231,6 +234,274 @@ impl<T: Serialize> Serialize for [T] {
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+}
+
+/// A value that does not decode: the path from the decoded root to the
+/// offending value (`core.regs[3]`, empty for the root itself) and what
+/// is wrong with it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DecodeError {
+    /// Object keys and array indices leading to the offending value.
+    pub path: String,
+    /// What went wrong.
+    pub message: String,
+}
+
+impl DecodeError {
+    /// An error about the value being decoded itself (empty path).
+    pub fn new(message: impl Into<String>) -> DecodeError {
+        DecodeError { path: String::new(), message: message.into() }
+    }
+
+    /// Places the error under object key `key`.
+    #[must_use]
+    pub fn in_field(self, key: &str) -> DecodeError {
+        self.under(key)
+    }
+
+    /// Places the error under array index `index`.
+    #[must_use]
+    pub fn at_index(self, index: usize) -> DecodeError {
+        self.under(&format!("[{index}]"))
+    }
+
+    fn under(mut self, step: &str) -> DecodeError {
+        let sep = if self.path.is_empty() || self.path.starts_with('[') { "" } else { "." };
+        self.path = format!("{step}{sep}{}", self.path);
+        self
+    }
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.path.is_empty() {
+            f.write_str(&self.message)
+        } else {
+            write!(f, "{}: {}", self.path, self.message)
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// The mismatch error: what was expected, and the value found instead
+/// (scalars verbatim, containers by kind).
+fn expected(what: &str, found: &Value) -> DecodeError {
+    let found = match found {
+        Value::Array(_) => "an array".to_string(),
+        Value::Object(_) => "an object".to_string(),
+        scalar => to_string(scalar),
+    };
+    DecodeError::new(format!("expected {what}, found {found}"))
+}
+
+/// Conversion from the JSON [`Value`] model; the inverse of
+/// [`Serialize`] for the shape `Serialize` writes.
+pub trait Deserialize: Sized {
+    /// Decodes a [`Value`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] when `v` has the wrong shape or a value
+    /// out of range for its field.
+    fn from_value(v: &Value) -> Result<Self, DecodeError>;
+}
+
+impl Deserialize for bool {
+    fn from_value(v: &Value) -> Result<bool, DecodeError> {
+        match v {
+            Value::Bool(b) => Ok(*b),
+            other => Err(expected("a boolean", other)),
+        }
+    }
+}
+
+macro_rules! de_uint {
+    ($($t:ty),*) => {$(
+        impl Deserialize for $t {
+            fn from_value(v: &Value) -> Result<$t, DecodeError> {
+                let n = v.as_u64().ok_or_else(|| expected("an unsigned integer", v))?;
+                <$t>::try_from(n).map_err(|_| {
+                    DecodeError::new(format!("{n} does not fit in {}", stringify!($t)))
+                })
+            }
+        }
+    )*};
+}
+de_uint!(u8, u16, u32, u64, usize);
+
+impl Deserialize for String {
+    fn from_value(v: &Value) -> Result<String, DecodeError> {
+        v.as_str().map(str::to_string).ok_or_else(|| expected("a string", v))
+    }
+}
+
+impl<T: Deserialize> Deserialize for Option<T> {
+    fn from_value(v: &Value) -> Result<Option<T>, DecodeError> {
+        match v {
+            Value::Null => Ok(None),
+            other => T::from_value(other).map(Some),
+        }
+    }
+}
+
+fn decode_items<T: Deserialize>(items: &[Value]) -> Result<Vec<T>, DecodeError> {
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| T::from_value(item).map_err(|e| e.at_index(i)))
+        .collect()
+}
+
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn from_value(v: &Value) -> Result<Vec<T>, DecodeError> {
+        decode_items(v.as_array().ok_or_else(|| expected("an array", v))?)
+    }
+}
+
+/// The elements of `v`, which must be an array of exactly `n`.
+fn elements(v: &Value, n: usize) -> Result<&[Value], DecodeError> {
+    let items = v.as_array().ok_or_else(|| expected("an array", v))?;
+    if items.len() != n {
+        return Err(DecodeError::new(format!("expected {n} elements, found {}", items.len())));
+    }
+    Ok(items)
+}
+
+impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
+    fn from_value(v: &Value) -> Result<[T; N], DecodeError> {
+        let items: Vec<T> = decode_items(elements(v, N)?)?;
+        Ok(items.try_into().unwrap_or_else(|_| unreachable!("`elements` checked the length")))
+    }
+}
+
+/// Tuples serialize as fixed-length heterogeneous arrays.
+macro_rules! tuple_codec {
+    ($n:literal: $($t:ident $i:tt),+) => {
+        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
+            fn to_value(&self) -> Value {
+                Value::Array(vec![$(self.$i.to_value()),+])
+            }
+        }
+
+        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
+            fn from_value(v: &Value) -> Result<Self, DecodeError> {
+                let items = elements(v, $n)?;
+                Ok(($($t::from_value(&items[$i]).map_err(|e| e.at_index($i))?,)+))
+            }
+        }
+    };
+}
+tuple_codec!(2: A 0, B 1);
+tuple_codec!(4: A 0, B 1, C 2, D 3);
+
+/// Implements [`Serialize`] and [`Deserialize`] for a struct whose JSON
+/// shape is an object with one key per listed field, named and ordered
+/// as listed; every key is required on decode.
+///
+/// ```
+/// struct Point { x: u32, y: u8 }
+/// serde::object_codec!(Point { x, y });
+///
+/// let v = serde::from_str(r#"{"x":3,"y":300}"#).unwrap();
+/// let e = <Point as serde::Deserialize>::from_value(&v).err().unwrap();
+/// assert_eq!(e.to_string(), "y: 300 does not fit in u8");
+/// ```
+#[macro_export]
+macro_rules! object_codec {
+    ($ty:ty { $($f:ident),+ $(,)? }) => {
+        impl $crate::Serialize for $ty {
+            fn to_value(&self) -> $crate::Value {
+                $crate::Value::object()$(.field(stringify!($f), &self.$f))+.build()
+            }
+        }
+
+        impl $crate::Deserialize for $ty {
+            fn from_value(v: &$crate::Value) -> Result<Self, $crate::DecodeError> {
+                Ok(Self { $($f: $crate::field(v, stringify!($f))?),+ })
+            }
+        }
+    };
+}
+
+/// Decodes a `"0x0000abcd"` hex string (the shape PCs and instruction
+/// words serialize as) into a `u32`.
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] for anything but a `0x`-prefixed hex string
+/// that fits in 32 bits.
+pub fn hex_u32(v: &Value) -> Result<u32, DecodeError> {
+    let s = String::from_value(v)?;
+    s.strip_prefix("0x")
+        .and_then(|digits| u32::from_str_radix(digits, 16).ok())
+        .ok_or_else(|| expected("a 32-bit 0x-prefixed hex string", v))
+}
+
+/// Decodes the required field `key` of object `v` with `decode`; an
+/// error inside the field carries `key` in its path.
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] when `v` is not an object, lacks `key`, or
+/// `decode` fails.
+pub fn field_with<T>(
+    v: &Value,
+    key: &str,
+    decode: impl FnOnce(&Value) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    let Value::Object(fields) = v else {
+        return Err(expected("an object", v));
+    };
+    match fields.iter().find(|(k, _)| k == key) {
+        Some((_, item)) => decode(item).map_err(|e| e.in_field(key)),
+        None => Err(DecodeError::new("missing field").in_field(key)),
+    }
+}
+
+/// Decodes the required field `key` of object `v` (see
+/// [`field_with`]).
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] when `v` is not an object, lacks `key`, or
+/// the field does not decode as a `T`.
+pub fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, DecodeError> {
+    field_with(v, key, T::from_value)
+}
+
+/// Decodes the optional field `key` of object `v`: `default` when it is
+/// absent, an error when it is present but does not decode.
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] when `v` is not an object or the field is
+/// present and does not decode as a `T`.
+pub fn field_or<T: Deserialize>(v: &Value, key: &str, default: T) -> Result<T, DecodeError> {
+    match v {
+        Value::Object(_) if v.get(key).is_none() => Ok(default),
+        _ => field(v, key),
+    }
+}
+
+/// Rejects any key of object `v` outside `known`, so a misspelt field
+/// is an error rather than a silently ignored one.
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] naming the first unknown key, or when `v` is
+/// not an object.
+pub fn deny_unknown_fields(v: &Value, known: &[&str]) -> Result<(), DecodeError> {
+    let Value::Object(fields) = v else {
+        return Err(expected("an object", v));
+    };
+    match fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => {
+            Err(DecodeError::new(format!("unknown field (known: {})", known.join(", ")))
+                .in_field(k))
+        }
+        None => Ok(()),
     }
 }
 
@@ -687,5 +958,79 @@ mod tests {
         assert_eq!(to_string(&Some(3u32)), "3");
         assert_eq!(to_string(&vec![1u32, 2, 3]), "[1,2,3]");
         assert_eq!(to_string(&[1u64; 2]), "[1,1]");
+        assert_eq!(to_string(&(1u8, true)), "[1,true]");
+    }
+
+    fn decode<T: Deserialize>(json: &str) -> Result<T, String> {
+        T::from_value(&from_str(json).unwrap()).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn integers_are_range_checked_not_wrapped() {
+        assert_eq!(decode::<u8>("255"), Ok(255));
+        assert_eq!(decode::<u8>("256"), Err("256 does not fit in u8".into()));
+        assert_eq!(decode::<u32>("4294967296"), Err("4294967296 does not fit in u32".into()));
+        assert_eq!(decode::<u64>("-1"), Err("expected an unsigned integer, found -1".into()));
+        assert_eq!(decode::<usize>("1.5"), Err("expected an unsigned integer, found 1.5".into()));
+        assert_eq!(decode::<u16>("\"7\""), Err("expected an unsigned integer, found \"7\"".into()));
+    }
+
+    #[test]
+    fn scalars_and_options_decode_strictly() {
+        assert_eq!(decode::<bool>("true"), Ok(true));
+        assert_eq!(decode::<bool>("1"), Err("expected a boolean, found 1".into()));
+        assert_eq!(decode::<String>("\"hi\""), Ok("hi".to_string()));
+        assert_eq!(decode::<String>("[]"), Err("expected a string, found an array".into()));
+        assert_eq!(decode::<Option<u8>>("null"), Ok(None));
+        assert_eq!(decode::<Option<u8>>("7"), Ok(Some(7)));
+        assert_eq!(hex_u32(&from_str("\"0x00000040\"").unwrap()), Ok(0x40));
+        assert!(hex_u32(&from_str("\"0x100000000\"").unwrap()).is_err());
+        assert!(hex_u32(&from_str("64").unwrap()).is_err());
+    }
+
+    #[test]
+    fn errors_name_the_path_to_the_bad_value() {
+        struct Core {
+            regs: [u32; 2],
+        }
+        impl Deserialize for Core {
+            fn from_value(v: &Value) -> Result<Core, DecodeError> {
+                Ok(Core { regs: field(v, "regs")? })
+            }
+        }
+        struct Snap {
+            core: Core,
+        }
+        impl Deserialize for Snap {
+            fn from_value(v: &Value) -> Result<Snap, DecodeError> {
+                Ok(Snap { core: field(v, "core")? })
+            }
+        }
+        let ok: Snap = decode(r#"{"core":{"regs":[1,2]}}"#).unwrap();
+        assert_eq!(ok.core.regs, [1, 2]);
+        let err = |json| decode::<Snap>(json).err().unwrap();
+        assert_eq!(
+            err(r#"{"core":{"regs":[1,4294967296]}}"#),
+            "core.regs[1]: 4294967296 does not fit in u32"
+        );
+        assert_eq!(err(r#"{"core":{"regs":[1]}}"#), "core.regs: expected 2 elements, found 1");
+        assert_eq!(err(r#"{"core":{}}"#), "core.regs: missing field");
+        assert_eq!(err(r#"{"core":[]}"#), "core: expected an object, found an array");
+        let pairs = decode::<Vec<(u16, bool)>>("[[1,true],[2,0]]").err().unwrap();
+        assert_eq!(pairs, "[1][1]: expected a boolean, found 0");
+    }
+
+    #[test]
+    fn optional_fields_default_only_when_absent() {
+        let v = from_str(r#"{"a":3,"b":"x"}"#).unwrap();
+        assert_eq!(field_or(&v, "a", 9u8), Ok(3));
+        assert_eq!(field_or(&v, "c", 9u8), Ok(9));
+        assert_eq!(
+            field_or(&v, "b", 9u8).unwrap_err().to_string(),
+            "b: expected an unsigned integer, found \"x\""
+        );
+        assert!(deny_unknown_fields(&v, &["a", "b"]).is_ok());
+        let e = deny_unknown_fields(&v, &["a"]).unwrap_err();
+        assert_eq!(e.to_string(), "b: unknown field (known: a)");
     }
 }

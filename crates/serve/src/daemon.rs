@@ -54,11 +54,11 @@ use std::time::Duration;
 
 use flexcore_bench::trial;
 use flexcore_telemetry::RateMeter;
-use serde::Value;
+use serde::{Deserialize, Value};
 
 use crate::admission::AdmitError;
 use crate::health::{HealthMetrics, Heartbeat};
-use crate::job::{JobId, JobSpec};
+use crate::job::{JobId, JobSpec, JobSpecError};
 use crate::journal::JournalError;
 use crate::scheduler::{JobSummary, Server, ServerConfig};
 use crate::worker::{TrialFailure, TrialRecord};
@@ -505,7 +505,8 @@ fn handle_submit(shared: &Arc<Shared>, stream: &UnixStream, parsed: &Value) {
         Ok(spec) => spec,
         Err(e) => {
             shared.metrics.requests_refused.inc();
-            respond(stream, &error_value("bad-job").field("detail", &e.to_string()).build());
+            let detail = JobSpecError::from(e).to_string();
+            respond(stream, &error_value("bad-job").field("detail", &detail).build());
             return;
         }
     };

@@ -13,7 +13,7 @@ use flexcore_bench::trial::{
     campaign1_trials, reconfig_trials, sweep_trials, CampaignSpec, TrialSpec,
 };
 use flexcore_workloads::Workload;
-use serde::Value;
+use serde::{deny_unknown_fields, field_or, DecodeError, Deserialize, Value};
 
 /// Stable identity of a campaign: an FNV-1a hash of the canonical
 /// work-defining spec fields (everything except `name` and
@@ -54,6 +54,12 @@ impl std::fmt::Display for JobSpecError {
 }
 
 impl std::error::Error for JobSpecError {}
+
+impl From<DecodeError> for JobSpecError {
+    fn from(e: DecodeError) -> JobSpecError {
+        JobSpecError::Malformed(e.to_string())
+    }
+}
 
 fn known_workloads() -> Vec<Workload> {
     let mut all = Workload::all();
@@ -168,53 +174,10 @@ impl JobSpec {
             .build()
     }
 
-    /// Decodes a spec-file object; absent fields keep their defaults.
-    pub fn from_value(v: &Value) -> Result<JobSpec, JobSpecError> {
-        let d = JobSpec::default();
-        let bool_or = |key: &str, fallback: bool| match v.get(key) {
-            Some(Value::Bool(b)) => *b,
-            _ => fallback,
-        };
-        let spec = JobSpec {
-            name: v.get("name").and_then(Value::as_str).unwrap_or(&d.name).to_string(),
-            seed: v.get("seed").and_then(Value::as_u64).unwrap_or(d.seed),
-            trials: v.get("trials").and_then(Value::as_u64).unwrap_or(d.trials as u64) as usize,
-            workloads: match v.get("workloads") {
-                Some(Value::Array(items)) => {
-                    let mut names = Vec::with_capacity(items.len());
-                    for item in items {
-                        match item.as_str() {
-                            Some(s) => names.push(s.to_string()),
-                            None => {
-                                return Err(JobSpecError::Malformed(
-                                    "`workloads` must be an array of strings".into(),
-                                ))
-                            }
-                        }
-                    }
-                    names
-                }
-                Some(_) => {
-                    return Err(JobSpecError::Malformed("`workloads` must be an array".into()))
-                }
-                None => d.workloads,
-            },
-            lockstep: bool_or("lockstep", d.lockstep),
-            recover: bool_or("recover", d.recover),
-            sweep: bool_or("sweep", d.sweep),
-            reconfig: bool_or("reconfig", d.reconfig),
-            priority: v.get("priority").and_then(Value::as_u64).unwrap_or(u64::from(d.priority))
-                as u8,
-            policy: v.get("policy").map_or(d.policy, RecoveryPolicy::from_value),
-        };
-        spec.resolve_workloads()?;
-        Ok(spec)
-    }
-
     /// Parses a JSON spec file's contents.
     pub fn from_json(text: &str) -> Result<JobSpec, JobSpecError> {
         let v = serde::from_str(text).map_err(|e| JobSpecError::Malformed(e.to_string()))?;
-        JobSpec::from_value(&v)
+        Ok(JobSpec::from_value(&v)?)
     }
 
     /// Resolves the workload names against the kernel set.
@@ -256,6 +219,46 @@ impl JobSpec {
             trials.extend(reconfig_trials(&cspec, &workloads));
         }
         Ok(trials)
+    }
+}
+
+/// The spec-file shape ([`JobSpec::to_value`]): an absent field keeps
+/// its default; an unknown key, a mistyped or out-of-range value, or an
+/// unknown workload name is an error naming the field.
+impl Deserialize for JobSpec {
+    fn from_value(v: &Value) -> Result<JobSpec, DecodeError> {
+        deny_unknown_fields(
+            v,
+            &[
+                "name",
+                "seed",
+                "trials",
+                "workloads",
+                "lockstep",
+                "recover",
+                "sweep",
+                "reconfig",
+                "priority",
+                "policy",
+            ],
+        )?;
+        let d = JobSpec::default();
+        let spec = JobSpec {
+            name: field_or(v, "name", d.name)?,
+            seed: field_or(v, "seed", d.seed)?,
+            trials: field_or(v, "trials", d.trials)?,
+            workloads: field_or(v, "workloads", d.workloads)?,
+            lockstep: field_or(v, "lockstep", d.lockstep)?,
+            recover: field_or(v, "recover", d.recover)?,
+            sweep: field_or(v, "sweep", d.sweep)?,
+            reconfig: field_or(v, "reconfig", d.reconfig)?,
+            priority: field_or(v, "priority", d.priority)?,
+            policy: field_or(v, "policy", d.policy)?,
+        };
+        if let Err(e) = spec.resolve_workloads() {
+            return Err(DecodeError::new(e.to_string()).in_field("workloads"));
+        }
+        Ok(spec)
     }
 }
 
@@ -306,6 +309,28 @@ mod tests {
         let back = JobSpec::from_json(&json).expect("roundtrips");
         assert_eq!(back, spec);
         assert_eq!(back.id(), spec.id());
+    }
+
+    #[test]
+    fn malformed_specs_are_refused_naming_the_field() {
+        for (json, field) in [
+            (r#"{"priority": 300}"#, "priority"),
+            (r#"{"trials": "abc"}"#, "trials"),
+            (r#"{"lockstep": "yes"}"#, "lockstep"),
+            (r#"{"policy": {"max_replays": 4294967297}}"#, "policy.max_replays"),
+            (r#"{"trails": 40}"#, "trails"),
+            (r#"{"workloads": ["sha", 7]}"#, "workloads[1]"),
+            (r#"{"workloads": ["doom"]}"#, "workloads"),
+        ] {
+            match JobSpec::from_json(json) {
+                Err(JobSpecError::Malformed(detail)) => {
+                    assert!(detail.starts_with(&format!("{field}: ")), "{json}: {detail}")
+                }
+                other => panic!("{json} decoded to {other:?}"),
+            }
+        }
+        let spec = JobSpec::from_json(r#"{"priority": 255, "policy": {}}"#).expect("in range");
+        assert_eq!(spec, JobSpec { priority: 255, ..JobSpec::default() });
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! `flexserve` rejects malformed or unknown flags with exit 2 before it
-//! admits or runs anything.
+//! `flexserve` rejects malformed or unknown flags and spec files with
+//! exit 2 before it admits or runs anything.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -47,5 +47,18 @@ fn malformed_and_unknown_flags_exit_2() {
     assert_rejected(&dir, &["run", "--socket", "s.sock"], "unknown flag `--socket`");
     assert_rejected(&dir, &["bogus"], "unknown subcommand `bogus`");
     assert_rejected(&dir, &[], "missing subcommand");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn malformed_spec_files_exit_2_without_running() {
+    let dir = tmpdir("spec");
+    for (name, spec, needle) in [
+        ("priority.json", r#"{"priority": 300}"#, "priority: 300 does not fit in u8"),
+        ("typo.json", r#"{"trails": 40}"#, "trails: unknown field"),
+    ] {
+        std::fs::write(dir.join(name), spec).expect("write spec");
+        assert_rejected(&dir, &["run", "--spec", name], needle);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

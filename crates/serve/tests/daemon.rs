@@ -145,6 +145,9 @@ fn hostile_requests_get_typed_errors_and_disturb_nothing() {
     assert!(raw(b"{\"hello\":1}\n").contains("\"malformed\""));
     // Unknown op → typed unknown-op.
     assert!(raw(b"{\"op\":\"explode\"}\n").contains("\"unknown-op\""));
+    // A job spec with an out-of-range field → typed bad-job naming it.
+    let bad = raw(b"{\"op\":\"submit\",\"job\":{\"priority\":300}}\n");
+    assert!(bad.contains("\"bad-job\"") && bad.contains("priority: 300 does not fit"), "{bad}");
     // Oversized request → typed oversized with the limit.
     let huge = format!("{{\"op\":\"submit\",\"pad\":\"{}\"}}\n", "x".repeat(8192));
     assert!(raw(huge.as_bytes()).contains("\"oversized\""));

@@ -15,11 +15,14 @@ use std::sync::OnceLock;
 
 use flexcore_suite::flexcore::checkpoint::Snapshot;
 use flexcore_suite::flexcore::ext::Umc;
-use flexcore_suite::flexcore::faults::{FaultModel, FaultPlan, FaultSchedule, FaultTarget};
+use flexcore_suite::flexcore::faults::{
+    FaultAction, FaultModel, FaultPlan, FaultSchedule, FaultTarget,
+};
 use flexcore_suite::flexcore::{RunOutcome, RunResult, SimError, System, SystemConfig};
 use flexcore_suite::pipeline::ExitReason;
 use flexcore_suite::workloads::Workload;
 use proptest::prelude::*;
+use serde::Value;
 
 const MAX_INSTRUCTIONS: u64 = 50_000_000;
 
@@ -157,6 +160,81 @@ fn restore_rejects_mismatched_construction() {
     wrong_depth.load_program(&w.program().expect("assembles"));
     let err = wrong_depth.restore(&snap).expect_err("mismatched FIFO depth must fail");
     assert!(err.to_string().contains("depth"), "unhelpful error: {err}");
+}
+
+/// The node of `v` at `path`: object keys, or decimal indices into
+/// arrays.
+fn node<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    path.iter().fold(v, |v, key| match v {
+        Value::Object(fields) => {
+            &mut fields.iter_mut().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no `{key}`")).1
+        }
+        Value::Array(items) => &mut items[key.parse::<usize>().expect("array index")],
+        other => panic!("cannot index {other:?} with `{key}`"),
+    })
+}
+
+/// A checkpoint read back from disk is outside input: one corrupted
+/// field must refuse the whole file with an error naming that field,
+/// never resume with a truncated or defaulted value.
+#[test]
+fn hostile_checkpoints_are_refused_naming_the_field() {
+    let mut sys = fresh(&Workload::bitcount());
+    sys.arm_faults(FaultPlan::new(7).inject(
+        FaultTarget::Register,
+        FaultSchedule::AtCommit(500),
+        FaultModel::BitFlip { bits: 1 },
+    ));
+    match sys.try_run_until(MAX_INSTRUCTIONS, 2_000).expect("run to the pause point") {
+        RunOutcome::Paused { .. } => {}
+        RunOutcome::Done(_) => panic!("finished before the pause point"),
+    }
+    let snap = sys.snapshot();
+    let log = &snap.faults.as_ref().expect("a plan is armed").log;
+    assert!(matches!(log[0].action, FaultAction::FlipRegister { .. }), "{log:?}");
+    let good = serde::from_str(&snap.to_json()).expect("checkpoint JSON parses");
+    assert_eq!(Snapshot::from_json(&serde::to_string(&good)), Ok(snap));
+
+    // (path, replacement or `None` to delete the field, expected error)
+    let cases: [(&[&str], Option<Value>, &str); 8] = [
+        (
+            &["core", "regs", "3"],
+            Some(Value::U64(1 << 32)),
+            "core.regs[3]: 4294967296 does not fit in u32",
+        ),
+        (&["core", "icc"], Some(Value::U64(256)), "core.icc: 256 does not fit in u8"),
+        (&["shadow", "5"], Some(Value::U64(256)), "shadow[5]: 256 does not fit in u8"),
+        (
+            &["core", "console"],
+            Some(Value::Array(vec![Value::U64(300)])),
+            "core.console[0]: 300 does not fit in u8",
+        ),
+        (
+            &["core", "icache", "lines", "0", "1"],
+            Some(Value::U64(1)),
+            "core.icache.lines[0][1]: expected a boolean, found 1",
+        ),
+        (
+            &["faults", "log", "0", "action", "reg"],
+            Some(Value::U64(300)),
+            "faults.log[0].action.reg: 300 does not fit in u8",
+        ),
+        (&["fifo"], None, "fifo: missing field"),
+        (&["format"], Some(Value::U64(4)), "format: unsupported snapshot format 4"),
+    ];
+    for (path, to, expected) in cases {
+        let mut bad = good.clone();
+        match to {
+            Some(to) => *node(&mut bad, path) = to,
+            None => {
+                let (key, parent) = path.split_last().expect("a non-empty path");
+                let Value::Object(fields) = node(&mut bad, parent) else { panic!("not an object") };
+                fields.retain(|(k, _)| k != key);
+            }
+        }
+        let err = Snapshot::from_json(&serde::to_string(&bad)).expect_err(expected);
+        assert!(err.to_string().contains(expected), "expected `{expected}`, got `{err}`");
+    }
 }
 
 /// A small all-ALU kernel where commit `4 + 4k` is always the `add`
